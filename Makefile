@@ -8,7 +8,7 @@ GO ?= go
 # below this. Raise it when coverage grows; never lower it.
 COVER_MIN ?= 84.0
 
-.PHONY: build test race bench perf fmt vet lint fuzz cover smoke ci
+.PHONY: build test race bench benchcheck perf fmt vet lint fuzz cover smoke ci
 
 # Repo-specific static analysis (cmd/mglint): machine-checks the
 # determinism and concurrency invariants — seeded randomness, no wall clock
@@ -26,6 +26,13 @@ lint:
 PERF_ARGS ?=
 perf:
 	$(GO) run ./cmd/mgperf $(PERF_ARGS)
+
+# Bit-identity gate: builds the repository benchmark (perfbench/) and runs
+# every workload at its self-test budget, checking each result against the
+# digests committed in perfbench/expected.json. A change meant only to make
+# the program faster must pass it unchanged.
+benchcheck:
+	bash perfbench/run.sh --selftest
 
 build:
 	$(GO) build ./...
@@ -58,6 +65,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzSumTraces$$' -fuzztime=10s -run='^$$' ./internal/powersim
 	$(GO) test -fuzz='^FuzzSumTracesOneClockOracle$$' -fuzztime=10s -run='^$$' ./internal/powersim
 	$(GO) test -fuzz='^FuzzGridLumpedOracle$$' -fuzztime=10s -run='^$$' ./internal/powersim
+	$(GO) test -fuzz='^FuzzCacheResetOracle$$' -fuzztime=10s -run='^$$' ./internal/memsim
 
 cover:
 	$(GO) test -coverprofile=coverage.out ./...
@@ -72,4 +80,4 @@ cover:
 smoke:
 	./scripts/smoke.sh
 
-ci: fmt vet lint build race bench fuzz cover smoke
+ci: fmt vet lint build race bench benchcheck fuzz cover smoke

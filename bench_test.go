@@ -20,6 +20,7 @@ import (
 	"micrograd/internal/knobs"
 	"micrograd/internal/metrics"
 	"micrograd/internal/microprobe"
+	"micrograd/internal/multicore"
 	"micrograd/internal/platform"
 	"micrograd/internal/program"
 	"micrograd/internal/sched"
@@ -314,6 +315,37 @@ func BenchmarkEvalSessionReuse(b *testing.B) {
 			if _, err := session.Evaluate(platform.EvalRequest{Name: "bench-warm", Config: cfg, Options: opts}); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+}
+
+// BenchmarkChipEvalLowFidelity is one screening-rung evaluation of a
+// successive-halving chip tuner: a 4xLarge chip on a 2x2 spatial grid
+// evaluates a not-yet-synthesized spatial-virus configuration at fidelity
+// 1/9 (4444 of 40000 instructions per core) through an EvalSession. At this
+// size the per-evaluation fixed costs — four kernel syntheses, simulator
+// resets, trace reseeding, power traces and the grid solve — weigh as much
+// as the simulated instructions, so this pins that regime.
+func BenchmarkChipEvalLowFidelity(b *testing.B) {
+	chip, err := multicore.New(multicore.Homogeneous(platform.Large(), 4).WithGrid(2, 2, nil), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	space := knobs.SpatialStressSpace(4)
+	rng := rand.New(rand.NewSource(5))
+	cfgs := make([]knobs.Config, 8)
+	for i := range cfgs {
+		cfgs[i] = space.RandomConfig(rng)
+	}
+	opts := platform.EvalOptions{DynamicInstructions: 40000, Seed: 1, CollectPower: true, Fidelity: 1.0 / 9}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// A fresh synthesizer per evaluation: a rung's candidates are new.
+		syn := microprobe.NewCachingSynthesizer(microprobe.Options{LoopSize: 500, Seed: 1})
+		session := platform.NewEvalSession(chip, syn)
+		if _, err := session.Evaluate(platform.EvalRequest{Name: "bench-rung", Config: cfgs[i%len(cfgs)], Options: opts}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -74,12 +74,15 @@ func (s Stats) Accuracy() float64 { return 1 - s.MispredictRate() }
 
 // Predictor is a direction predictor with 2-bit saturating counters.
 type Predictor struct {
-	cfg     Config
-	table   []uint8
-	mask    uint64
-	history uint64
-	histMsk uint64
-	stats   Stats
+	cfg   Config
+	table []uint8
+	// pristine is the start-of-run table (every counter weakly taken), so
+	// Reset is one copy instead of a loop over the counters.
+	pristine []uint8
+	mask     uint64
+	history  uint64
+	histMsk  uint64
+	stats    Stats
 }
 
 // New builds a predictor. Counters start weakly taken, which favours the
@@ -90,14 +93,16 @@ func New(cfg Config) (*Predictor, error) {
 	}
 	size := 1 << cfg.TableBits
 	p := &Predictor{
-		cfg:     cfg,
-		table:   make([]uint8, size),
-		mask:    uint64(size - 1),
-		histMsk: (1 << uint(cfg.HistoryBits)) - 1,
+		cfg:      cfg,
+		table:    make([]uint8, size),
+		pristine: make([]uint8, size),
+		mask:     uint64(size - 1),
+		histMsk:  (1 << uint(cfg.HistoryBits)) - 1,
 	}
-	for i := range p.table {
-		p.table[i] = 2 // weakly taken
+	for i := range p.pristine {
+		p.pristine[i] = 2 // weakly taken
 	}
+	copy(p.table, p.pristine)
 	return p, nil
 }
 
@@ -109,9 +114,7 @@ func (p *Predictor) Stats() Stats { return p.stats }
 
 // Reset clears the predictor state and statistics.
 func (p *Predictor) Reset() {
-	for i := range p.table {
-		p.table[i] = 2
-	}
+	copy(p.table, p.pristine)
 	p.history = 0
 	p.stats = Stats{}
 }

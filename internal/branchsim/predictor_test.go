@@ -168,3 +168,48 @@ func TestPropertyDeterminism(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestResetMatchesFresh pins Reset to a freshly built predictor: after any
+// training, a reset predictor makes the same predictions, keeps the same
+// table and reports the same statistics as a new one, and training a reset
+// predictor never leaks into the next reset.
+func TestResetMatchesFresh(t *testing.T) {
+	cases := []struct {
+		name  string
+		cfg   Config
+		train int
+	}{
+		{"bimodal-untrained", bimodalCfg(), 0},
+		{"bimodal-trained", bimodalCfg(), 5000},
+		{"gshare-trained", gshareCfg(), 5000},
+		{"gshare-large-table", Config{Kind: GShare, TableBits: 14, HistoryBits: 12}, 20000},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			reused, err := New(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(3))
+			for round := 0; round < 3; round++ {
+				for i := 0; i < tc.train; i++ {
+					reused.Predict(uint64(rng.Intn(1<<16))<<2, rng.Intn(3) == 0)
+				}
+				reused.Reset()
+				fresh, _ := New(tc.cfg)
+				if string(reused.table) != string(fresh.table) || reused.history != fresh.history {
+					t.Fatalf("round %d: reset state differs from a fresh predictor", round)
+				}
+				for i := 0; i < 2000; i++ {
+					pc, taken := uint64(rng.Intn(256))<<2, rng.Intn(2) == 0
+					if a, b := reused.Predict(pc, taken), fresh.Predict(pc, taken); a != b {
+						t.Fatalf("round %d, branch %d: reset predictor mispredicted=%v, fresh %v", round, i, a, b)
+					}
+				}
+				if reused.Stats() != fresh.Stats() {
+					t.Fatalf("round %d: stats %+v, fresh %+v", round, reused.Stats(), fresh.Stats())
+				}
+			}
+		})
+	}
+}

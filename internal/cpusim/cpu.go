@@ -17,7 +17,11 @@
 // window accumulators, the trace expander and a per-program predecode table —
 // so that back-to-back Run calls (the shape of every tuning loop) allocate
 // almost nothing and never touch the isa descriptor table on the per-
-// instruction hot path.
+// instruction hot path. The per-run reset of the caches and the branch
+// predictor costs O(sets touched), not O(capacity) (see memsim), and the
+// trace expander replays its random stream when the seed repeats, so a short
+// run pays for the instructions it simulates rather than for the size of the
+// modelled core.
 package cpusim
 
 import (
@@ -233,18 +237,18 @@ func (c *CPU) predecode(p *program.Program) {
 	c.ops = c.ops[:n]
 	for i := range p.Instructions {
 		in := &p.Instructions[i]
-		d := isa.Describe(in.Op)
+		class := in.Op.Class()
 		op := &c.ops[i]
 		*op = staticOp{
-			latency:  uint64(d.Latency),
+			latency:  uint64(in.Op.Latency()),
 			dest:     uint16(in.Dest.ID()),
 			numSrcs:  uint8(in.NumSrcs),
-			class:    d.Class,
-			unit:     d.Unit,
-			isMem:    d.Class == isa.ClassLoad || d.Class == isa.ClassStore,
-			isStore:  d.Class == isa.ClassStore,
-			isCondBr: d.IsCondBr,
-			hasDest:  d.HasDest,
+			class:    class,
+			unit:     in.Op.Unit(),
+			isMem:    class == isa.ClassLoad || class == isa.ClassStore,
+			isStore:  class == isa.ClassStore,
+			isCondBr: in.Op.IsCondBranch(),
+			hasDest:  in.Op.HasDest(),
 			longOp:   in.Op == isa.DIV || in.Op == isa.FDIVD,
 		}
 		for s := 0; s < in.NumSrcs && s < len(in.Srcs); s++ {
@@ -259,18 +263,36 @@ func (c *CPU) predecode(p *program.Program) {
 // collected statistics. The seed drives the trace expander's stochastic
 // branch directions; the timing model itself is deterministic.
 func (c *CPU) Run(p *program.Program, dynInstrs int, seed int64) (Result, error) {
-	return c.run(p, dynInstrs, seed, false)
+	return c.run(p, dynInstrs, seed, windowsCopied)
 }
 
 // RunShared is Run with the returned Result's Windows aliasing the CPU's
-// reusable scratch: the slice is valid only until the next Run/RunShared
-// call. Metrics-only evaluation paths use it to skip the per-run copy of the
-// window sequence; callers that hand the Result out must use Run.
+// reusable scratch: the slice is valid only until the CPU's next run
+// call. Evaluation paths that derive power from the windows without handing
+// the Result out use it to skip the per-run copy of the window sequence;
+// callers that hand the Result out must use Run.
 func (c *CPU) RunShared(p *program.Program, dynInstrs int, seed int64) (Result, error) {
-	return c.run(p, dynInstrs, seed, true)
+	return c.run(p, dynInstrs, seed, windowsShared)
 }
 
-func (c *CPU) run(p *program.Program, dynInstrs int, seed int64, sharedWindows bool) (Result, error) {
+// RunTotals is Run without the activity-window breakdown: Result.Windows is
+// nil and every other field equals Run's. Evaluations that need neither a
+// power trace nor the raw result use it to skip the per-instruction window
+// attribution.
+func (c *CPU) RunTotals(p *program.Program, dynInstrs int, seed int64) (Result, error) {
+	return c.run(p, dynInstrs, seed, windowsOff)
+}
+
+// windowMode selects what a run does with its activity windows.
+type windowMode uint8
+
+const (
+	windowsCopied windowMode = iota // record them and copy them out
+	windowsShared                   // record them in the CPU's scratch
+	windowsOff                      // do not record them
+)
+
+func (c *CPU) run(p *program.Program, dynInstrs int, seed int64, mode windowMode) (Result, error) {
 	if dynInstrs <= 0 {
 		return Result{}, fmt.Errorf("cpusim: non-positive dynamic instruction count %d", dynInstrs)
 	}
@@ -291,7 +313,7 @@ func (c *CPU) run(p *program.Program, dynInstrs int, seed int64, sharedWindows b
 	st := &c.st
 	st.reset()
 
-	windowed := c.cfg.WindowCycles > 0
+	windowed := c.cfg.WindowCycles > 0 && mode != windowsOff
 	wt := &c.wt
 	if windowed {
 		wt.reset()
@@ -336,7 +358,7 @@ func (c *CPU) run(p *program.Program, dynInstrs int, seed int64, sharedWindows b
 	res.Branch = c.pred.Stats()
 	res.MemAccesses = res.L2.Misses
 	if windowed {
-		res.Windows = wt.finish(st.lastRetire, sharedWindows)
+		res.Windows = wt.finish(st.lastRetire, mode == windowsShared)
 		for i := range res.Windows {
 			w := &res.Windows[i]
 			for cl, n := range w.ClassCounts {

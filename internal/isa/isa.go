@@ -177,6 +177,11 @@ func Describe(op Opcode) Descriptor {
 	return descriptors[op]
 }
 
+// descriptor returns op's entry in the descriptor table, so the single-field
+// accessors below read one field without copying the whole Descriptor and
+// stay small enough to inline. An invalid opcode panics on the index.
+func descriptor(op Opcode) *Descriptor { return &descriptors[op] }
+
 // Valid reports whether op is a defined opcode.
 func (op Opcode) Valid() bool { return int(op) < NumOpcodes }
 
@@ -189,32 +194,35 @@ func (op Opcode) String() string {
 }
 
 // Class returns the class of op.
-func (op Opcode) Class() Class { return Describe(op).Class }
+func (op Opcode) Class() Class { return descriptor(op).Class }
 
 // IsMemory reports whether op accesses data memory.
 func (op Opcode) IsMemory() bool {
-	c := Describe(op).Class
+	c := descriptor(op).Class
 	return c == ClassLoad || c == ClassStore
 }
 
 // IsBranch reports whether op is any control-transfer instruction.
-func (op Opcode) IsBranch() bool { return Describe(op).IsBranch }
+func (op Opcode) IsBranch() bool { return descriptor(op).IsBranch }
 
 // IsCondBranch reports whether op is a conditional branch.
-func (op Opcode) IsCondBranch() bool { return Describe(op).IsCondBr }
+func (op Opcode) IsCondBranch() bool { return descriptor(op).IsCondBr }
+
+// HasDest reports whether op writes a destination register.
+func (op Opcode) HasDest() bool { return descriptor(op).HasDest }
 
 // Latency returns the nominal execution latency of op in cycles.
-func (op Opcode) Latency() int { return Describe(op).Latency }
+func (op Opcode) Latency() int { return descriptor(op).Latency }
 
 // Unit returns the functional unit kind op executes on.
-func (op Opcode) Unit() UnitKind { return Describe(op).Unit }
+func (op Opcode) Unit() UnitKind { return descriptor(op).Unit }
 
 // MemBytes returns the number of bytes accessed by a memory opcode, or 0.
-func (op Opcode) MemBytes() int { return Describe(op).MemBytes }
+func (op Opcode) MemBytes() int { return descriptor(op).MemBytes }
 
 // EnergyWeight returns the relative per-access dynamic energy weight of op,
 // used by the power model.
-func (op Opcode) EnergyWeight() float64 { return Describe(op).EnergyWt }
+func (op Opcode) EnergyWeight() float64 { return descriptor(op).EnergyWt }
 
 // ByMnemonic looks up an opcode by its mnemonic. The second result reports
 // whether the mnemonic is known.

@@ -8,6 +8,11 @@
 // latencies; it produces the cache hit-rate metrics the cloning use case
 // targets (IC hit rate, DC hit rate, L2 hit rate) and the access latencies
 // the out-of-order timing model consumes.
+//
+// Resetting a cache between runs costs O(1): each set carries a generation
+// stamp, Reset only advances the cache's generation, and a set whose stamp
+// is stale is cleared on its first touch. A run therefore pays for the sets
+// it touches, not for the whole capacity (a 1 MiB L2 has 16 Ki lines).
 package memsim
 
 import "fmt"
@@ -78,12 +83,27 @@ type line struct {
 	used  uint64 // LRU timestamp
 }
 
+// setState is the per-set bookkeeping next to the ways themselves.
+type setState struct {
+	// gen is the cache generation the set's ways belong to; a set whose gen
+	// is not the cache's current one is empty and is cleared on first touch.
+	gen uint32
+	// mru is the way of the most recent hit or fill. It is a pure lookup
+	// hint — the fast path re-checks valid+tag — so it never changes
+	// hit/miss outcomes or LRU state, only skips the way scan.
+	mru int32
+}
+
 // Cache is a single set-associative cache level.
 type Cache struct {
 	cfg   CacheConfig
 	sets  [][]line
+	lines []line // backing array of sets
 	clock uint64
 	stats Stats
+	// gen is the current generation: Reset advances it instead of clearing
+	// every set (see setState.gen).
+	gen uint32
 	// setMask/lineShift are the power-of-two shortcuts for set indexing
 	// (both line size and set count are powers of two for every built-in
 	// configuration); setsPow2 falls back to division when the set count is
@@ -92,10 +112,7 @@ type Cache struct {
 	setMask   uint64
 	setShift  uint
 	lineShift uint
-	// mru holds, per set, the way of the most recent hit or fill. It is a
-	// pure lookup hint — the fast path re-checks valid+tag — so it never
-	// changes hit/miss outcomes or LRU state, only skips the way scan.
-	mru []int32
+	state     []setState
 }
 
 // NewCache builds a cache from its configuration.
@@ -105,11 +122,11 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 	}
 	c := &Cache{cfg: cfg}
 	numSets := cfg.NumSets()
-	c.mru = make([]int32, numSets)
+	c.state = make([]setState, numSets)
 	c.sets = make([][]line, numSets)
-	backing := make([]line, numSets*cfg.Assoc)
+	c.lines = make([]line, numSets*cfg.Assoc)
 	for i := range c.sets {
-		c.sets[i] = backing[i*cfg.Assoc : (i+1)*cfg.Assoc]
+		c.sets[i] = c.lines[i*cfg.Assoc : (i+1)*cfg.Assoc]
 	}
 	for v := cfg.LineBytes; v > 1; v >>= 1 {
 		c.lineShift++
@@ -137,16 +154,31 @@ func (c *Cache) Counters() (accesses, misses, prefetches uint64) {
 	return c.stats.Accesses, c.stats.Misses, c.stats.Prefetches
 }
 
-// Reset clears the cache contents and statistics.
+// Reset clears the cache contents and statistics. It only advances the
+// generation; stale sets are cleared lazily by set. A set cleared late is
+// exactly a set cleared now, so victims, LRU order and writebacks are those
+// of an eagerly cleared cache. When the generation counter wraps around,
+// every set is cleared for real, so no set stamped 2^32 resets ago can pass
+// for current.
 func (c *Cache) Reset() {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			c.sets[s][w] = line{}
-		}
-		c.mru[s] = 0
+	c.gen++
+	if c.gen == 0 {
+		clear(c.lines)
+		clear(c.state)
 	}
 	c.clock = 0
 	c.stats = Stats{}
+}
+
+// ways returns the ways of set i, first clearing them if they belong to an
+// earlier generation.
+func (c *Cache) ways(i int) []line {
+	ways := c.sets[i]
+	if st := &c.state[i]; st.gen != c.gen {
+		clear(ways)
+		*st = setState{gen: c.gen}
+	}
+	return ways
 }
 
 // lineAddr returns the line-aligned address.
@@ -172,8 +204,9 @@ func (c *Cache) indexTag(addr uint64) (int, uint64) {
 // the address currently hits.
 func (c *Cache) Lookup(addr uint64) bool {
 	set, tag := c.indexTag(addr)
-	for w := range c.sets[set] {
-		if c.sets[set][w].valid && c.sets[set][w].tag == tag {
+	ways := c.ways(set)
+	for w := range ways {
+		if ways[w].valid && ways[w].tag == tag {
 			return true
 		}
 	}
@@ -227,10 +260,11 @@ func (c *Cache) Prefetch(addr uint64) bool {
 func (c *Cache) touch(addr uint64, write, demand bool) (bool, *line) {
 	c.clock++
 	set, tag := c.indexTag(addr)
-	ways := c.sets[set]
+	ways := c.ways(set)
+	st := &c.state[set]
 	// MRU fast path: the way of the last hit/fill in this set is the
 	// likeliest match; on a hit it performs exactly the scan's updates.
-	if m := c.mru[set]; int(m) < len(ways) {
+	if m := st.mru; int(m) < len(ways) {
 		if l := &ways[m]; l.valid && l.tag == tag {
 			l.used = c.clock
 			if write {
@@ -245,7 +279,7 @@ func (c *Cache) touch(addr uint64, write, demand bool) (bool, *line) {
 			if write {
 				ways[w].dirty = true
 			}
-			c.mru[set] = int32(w)
+			st.mru = int32(w)
 			return true, &ways[w]
 		}
 	}
@@ -264,7 +298,7 @@ func (c *Cache) touch(addr uint64, write, demand bool) (bool, *line) {
 		c.stats.Writebacks++
 	}
 	ways[victim] = line{tag: tag, valid: true, dirty: write, used: c.clock}
-	c.mru[set] = int32(victim)
+	st.mru = int32(victim)
 	_ = demand
 	return false, &ways[victim]
 }

@@ -15,6 +15,13 @@ import (
 // pass pipeline. Returning the identical *program.Program pointer also lets
 // the simulator skip re-validating and re-predecoding the kernel.
 //
+// A miss takes the pipeline's positional stage (everything before the
+// phase rotation) from a small memo keyed by the settings without
+// PhaseOffset when it can, and then runs only the per-kernel tail: the
+// per-core kernels of one chip configuration, which differ only by their
+// rotation, share one synthesis. The hit and miss counts describe whole
+// kernels and do not see that memo.
+//
 // Cached programs are shared between callers and MUST be treated as
 // read-only. It is safe for concurrent use; concurrent misses on the same key
 // may synthesize twice (the synthesizer is pure, so both results are
@@ -28,9 +35,23 @@ type CachingSynthesizer struct {
 	// and its canonical key entirely. Distinct configurations that reduce to
 	// the same settings (eval-time knobs differ) still dedupe below.
 	cfgCache map[string]*program.Program
+	// bases memoizes Synthesizer.synthesizeBase by the canonical settings
+	// key with PhaseOffset zeroed. It keeps only the baseMemoSize most
+	// recent bases, evicting the oldest (baseRing, baseNext): a chip's cores
+	// are synthesized back to back, and single-core kernels never share a
+	// base, so a bounded memo serves every reuse without holding a second
+	// copy of each cached kernel.
+	bases    map[string]*program.Program
+	baseRing [baseMemoSize]string
+	baseNext int
 	hits     atomic.Uint64
 	misses   atomic.Uint64
 }
+
+// baseMemoSize bounds the memo of kernel bases: enough for the interleaved
+// back-to-back per-core syntheses of several tuning workers sharing one
+// synthesizer.
+const baseMemoSize = 16
 
 // NewCachingSynthesizer returns a caching synthesizer with the given options
 // and an unbounded memo.
@@ -39,6 +60,7 @@ func NewCachingSynthesizer(opts Options) *CachingSynthesizer {
 		syn:      NewSynthesizer(opts),
 		cache:    make(map[string]*program.Program),
 		cfgCache: make(map[string]*program.Program),
+		bases:    make(map[string]*program.Program),
 	}
 }
 
@@ -87,7 +109,7 @@ func (c *CachingSynthesizer) SynthesizeSettings(name string, set knobs.Settings)
 	}
 	c.mu.Unlock()
 
-	p, err := c.syn.SynthesizeSettings(name, set)
+	p, err := c.syn.synthesizeWith(name, set, c.base)
 	if err != nil {
 		return nil, err
 	}
@@ -96,6 +118,34 @@ func (c *CachingSynthesizer) SynthesizeSettings(name string, set knobs.Settings)
 	c.cache[key] = p
 	c.mu.Unlock()
 	return p, nil
+}
+
+// base returns the memoized positional stage of set's pipeline, running it
+// on a miss.
+func (c *CachingSynthesizer) base(set knobs.Settings) (*program.Program, error) {
+	set.PhaseOffset = 0
+	key := set.CanonicalKey()
+	c.mu.Lock()
+	b, ok := c.bases[key]
+	c.mu.Unlock()
+	if ok {
+		return b, nil
+	}
+	b, err := c.syn.synthesizeBase(set)
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	if _, ok := c.bases[key]; !ok {
+		if old := c.baseRing[c.baseNext]; old != "" {
+			delete(c.bases, old)
+		}
+		c.baseRing[c.baseNext] = key
+		c.baseNext = (c.baseNext + 1) % baseMemoSize
+		c.bases[key] = b
+	}
+	c.mu.Unlock()
+	return b, nil
 }
 
 // Stats returns the memo's cumulative hit and miss counts.

@@ -260,22 +260,31 @@ func (p PhaseRotatePass) Apply(b *Builder) error {
 	if p.OffsetInstrs < 0 {
 		return fmt.Errorf("negative phase offset %d", p.OffsetInstrs)
 	}
-	body := len(b.prog.Instructions) - 1 // the loop-closing branch stays put
-	if body < 1 {
-		return nil
-	}
-	off := p.OffsetInstrs % body
-	if off == 0 {
-		return nil
-	}
-	rotated := make([]program.Instruction, body)
-	for i := 0; i < body; i++ {
-		rotated[i] = b.prog.Instructions[(i+off)%body]
-		rotated[i].Label = ""
-	}
-	rotated[0].Label = "kernel_loop"
-	copy(b.prog.Instructions, rotated)
+	rotated := make([]program.Instruction, len(b.prog.Instructions))
+	rotateBody(rotated, b.prog.Instructions, p.OffsetInstrs)
+	b.prog.Instructions = rotated
 	return nil
+}
+
+// rotateBody copies src into dst (of the same length) with the loop body —
+// everything but the final loop-closing branch — rotated left by offset
+// positions modulo its length. A rotated body drops every label and labels
+// its new first instruction as the loop head; an offset that is a multiple
+// of the body length copies src unchanged.
+func rotateBody(dst, src []program.Instruction, offset int) {
+	body := len(src) - 1
+	if body < 1 || offset%body == 0 {
+		copy(dst, src)
+		return
+	}
+	off := offset % body
+	n := copy(dst, src[off:body])
+	copy(dst[n:body], src[:off])
+	dst[body] = src[body]
+	for i := range dst[:body] {
+		dst[i].Label = ""
+	}
+	dst[0].Label = "kernel_loop"
 }
 
 // InitializeRegistersPass records how architectural registers are initialized
@@ -343,7 +352,7 @@ func (p RandomizeByTypePass) Apply(b *Builder) error {
 	b.prog.Patterns = append(b.prog.Patterns, pattern)
 	last := len(b.prog.Instructions) - 1
 	for i := 0; i < last; i++ {
-		if b.prog.Instructions[i].IsCondBranch() {
+		if b.prog.Instructions[i].Op.IsCondBranch() {
 			b.prog.Instructions[i].Pattern = pattern.ID
 		}
 	}
@@ -425,7 +434,7 @@ func (p GenericMemoryStreamsPass) Apply(b *Builder) error {
 	credit := make([]float64, len(b.prog.Streams))
 	for i := range b.prog.Instructions {
 		in := &b.prog.Instructions[i]
-		if !in.IsMemory() {
+		if !in.Op.IsMemory() {
 			continue
 		}
 		best := -1
@@ -534,21 +543,28 @@ func (UpdateInstructionAddressesPass) Name() string { return "UpdateInstructionA
 
 // Apply implements Pass.
 func (p UpdateInstructionAddressesPass) Apply(b *Builder) error {
-	perStream := make(map[int]int)
-	for i := range b.prog.Instructions {
-		in := &b.prog.Instructions[i]
-		if !in.IsMemory() {
+	return assignAddresses(b.prog)
+}
+
+// assignAddresses gives each memory instruction its static offset — its
+// rank among its stream's instructions times the stream stride, modulo the
+// footprint — and validates the finished program.
+func assignAddresses(p *program.Program) error {
+	perStream := make([]int, len(p.Streams))
+	for i := range p.Instructions {
+		in := &p.Instructions[i]
+		if !in.Op.IsMemory() {
 			continue
 		}
 		s := in.Stream
-		if s < 0 || s >= len(b.prog.Streams) {
+		if s < 0 || s >= len(p.Streams) {
 			return fmt.Errorf("memory instruction %d has no stream assigned (run GenericMemoryStreamsPass first)", i)
 		}
-		stream := b.prog.Streams[s]
+		stream := &p.Streams[s]
 		in.Imm = int64((perStream[s] * stream.StrideBytes) % stream.FootprintBytes)
 		perStream[s]++
 	}
-	return b.prog.Validate()
+	return p.Validate()
 }
 
 // streamBaseReg returns the architectural base register used to address the

@@ -66,11 +66,31 @@ func (s *Synthesizer) Synthesize(name string, cfg knobs.Config) (*program.Progra
 // This entry point is used by the reference-workload models, which describe
 // applications with more detail than the knob space exposes.
 func (s *Synthesizer) SynthesizeSettings(name string, set knobs.Settings) (*program.Program, error) {
+	return s.synthesizeWith(name, set, s.synthesizeBase)
+}
+
+// synthesizeWith is the pipeline: validation, the positional stage supplied
+// by base (synthesizeBase, or CachingSynthesizer's memo of it), and the
+// per-kernel tail.
+func (s *Synthesizer) synthesizeWith(name string, set knobs.Settings, base func(knobs.Settings) (*program.Program, error)) (*program.Program, error) {
 	if err := set.Validate(); err != nil {
 		return nil, fmt.Errorf("microprobe: invalid settings: %w", err)
 	}
+	b, err := base(set)
+	if err != nil {
+		return nil, err
+	}
+	return finishKernel(b, name, set.PhaseOffset)
+}
+
+// synthesizeBase runs the passes that place instructions by position —
+// everything before the phase rotation — and records the generation
+// metadata. Its result ignores set.PhaseOffset and the kernel name (the
+// builder's RNG is seeded from Options.Seed alone), so the rotated per-core
+// kernels of one chip configuration all finish from one base.
+func (s *Synthesizer) synthesizeBase(set knobs.Settings) (*program.Program, error) {
 	rng := rand.New(rand.NewSource(s.opts.Seed))
-	b := NewBuilder(name, rng)
+	b := NewBuilder("", rng)
 
 	// Two memory streams, as in the paper's Listing 2: a small "hot" stream
 	// capturing temporal re-use and a "cold" stream with the configured
@@ -98,12 +118,6 @@ func (s *Synthesizer) SynthesizeSettings(name string, set knobs.Settings) (*prog
 		// register the allocator never touches.
 		passes = append(passes, DutyCyclePass{Duty: set.DutyCycle, BurstLen: set.BurstLen})
 	}
-	if set.PhaseOffset > 0 {
-		// Last structural pass: rotating the finished body shifts the burst
-		// schedule without disturbing any positional assignment.
-		passes = append(passes, PhaseRotatePass{OffsetInstrs: set.PhaseOffset})
-	}
-	passes = append(passes, UpdateInstructionAddressesPass{})
 	if err := b.Apply(passes...); err != nil {
 		return nil, err
 	}
@@ -118,8 +132,35 @@ func (s *Synthesizer) SynthesizeSettings(name string, set knobs.Settings) (*prog
 		p.Meta["duty_cycle"] = fmt.Sprintf("%.2f", set.DutyCycle)
 		p.Meta["burst_len"] = fmt.Sprintf("%d", set.BurstLen)
 	}
-	if set.PhaseOffset > 0 {
-		p.Meta["phase_offset"] = fmt.Sprintf("%d", set.PhaseOffset)
+	return p, nil
+}
+
+// finishKernel is the per-kernel tail of the pipeline, the work of
+// PhaseRotatePass and UpdateInstructionAddressesPass done while copying: a
+// new program named name whose body is base's rotated by phaseOffset (last
+// structural step: rotating the finished body shifts the burst schedule
+// without disturbing any positional assignment), with static addresses
+// assigned, the result validated and the offset recorded. base is not
+// modified.
+func finishKernel(base *program.Program, name string, phaseOffset int) (*program.Program, error) {
+	p := &program.Program{
+		Name:         name,
+		Instructions: make([]program.Instruction, len(base.Instructions)),
+		Streams:      append([]program.MemoryStream(nil), base.Streams...),
+		Patterns:     append([]program.BranchPattern(nil), base.Patterns...),
+		CodeBase:     base.CodeBase,
+		DataBase:     base.DataBase,
+		Meta:         make(map[string]string, len(base.Meta)+1),
+	}
+	for k, v := range base.Meta {
+		p.Meta[k] = v
+	}
+	rotateBody(p.Instructions, base.Instructions, phaseOffset)
+	if err := assignAddresses(p); err != nil {
+		return nil, fmt.Errorf("microprobe: pass %s: %w", UpdateInstructionAddressesPass{}.Name(), err)
+	}
+	if phaseOffset > 0 {
+		p.Meta["phase_offset"] = fmt.Sprintf("%d", phaseOffset)
 	}
 	return p, nil
 }

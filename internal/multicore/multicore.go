@@ -397,7 +397,13 @@ func (c *CoRunPlatform) evaluateDetailed(progs []*program.Program, freqsGHz []fl
 			return platform.EvalResponse{}, err
 		}
 	}
-	opts.CollectPower = true // chip metrics need every core's trace
+	// Chip metrics need every core's power trace. Only DetailResult hands
+	// the per-core results out; below it each core reads its activity
+	// windows from its simulator's scratch.
+	coreDetail := platform.DetailTrace
+	if detail >= platform.DetailResult {
+		coreDetail = platform.DetailResult
+	}
 	runs, err := sched.Map(context.Background(), c.parallel, c.sims,
 		func(_ context.Context, i int, sim *platform.SimPlatform) (coreRun, error) {
 			coreOpts := opts
@@ -406,13 +412,15 @@ func (c *CoRunPlatform) evaluateDetailed(progs []*program.Program, freqsGHz []fl
 				freq = freqsGHz[i]
 				coreOpts.FrequencyGHz = freq
 			}
-			v, res, err := sim.EvaluateDetailed(progs[i], coreOpts)
+			resp, err := sim.EvaluateRequest(platform.EvalRequest{
+				Programs: progs[i : i+1], Options: coreOpts, Detail: coreDetail,
+			})
 			if err != nil {
 				return coreRun{}, fmt.Errorf("multicore: core %d: %w", i, err)
 			}
-			run := coreRun{vector: v, trace: sim.PowerTrace(res), freqGHz: freq}
+			run := coreRun{vector: resp.Metrics, trace: resp.Trace, freqGHz: freq}
 			if detail >= platform.DetailResult {
-				run.result = res
+				run.result = resp.Results[0]
 			}
 			return run, nil
 		})

@@ -256,7 +256,7 @@ func (s *SimPlatform) Spec() CoreSpec { return s.spec }
 func (s *SimPlatform) Evaluations() uint64 { return s.evaluations }
 
 // Evaluate implements Platform. The raw simulation result is not handed out,
-// so the run shares the simulator's window scratch instead of copying it.
+// so the run records only the activity windows its metrics need.
 //
 // Deprecated: thin shim over EvaluateRequest; new code should build an
 // EvalRequest (Detail: DetailMetrics) instead.
@@ -273,16 +273,19 @@ const TraceWarmupWindows = 16
 // addPowerMetrics extends the vector with the power model's outputs: average
 // dynamic power always, plus the transient-power metrics (worst-case supply
 // droop, maximum dI/dt step, steady-state hotspot temperature) whenever the
-// run recorded activity windows.
-func (s *SimPlatform) addPowerMetrics(v metrics.Vector, res cpusim.Result) {
+// run recorded activity windows. It returns the untrimmed power trace it
+// derived them from.
+func (s *SimPlatform) addPowerMetrics(v metrics.Vector, res cpusim.Result) powersim.PowerTrace {
 	v[metrics.DynamicPowerW] = s.power.DynamicPower(res)
-	if len(res.Windows) == 0 {
-		return
+	trace := s.power.Trace(res)
+	if trace.Empty() {
+		return trace
 	}
-	steady := s.power.Trace(res).TrimWarmupCapped(TraceWarmupWindows)
+	steady := trace.TrimWarmupCapped(TraceWarmupWindows)
 	v[metrics.WorstDroopMV] = s.spec.Supply.WorstDroopMV(steady)
 	v[metrics.MaxDIDTWPerCycle] = steady.MaxStepWPerCycle()
 	v[metrics.TempC] = s.spec.Thermal.SteadyTempC(steady)
+	return trace
 }
 
 // PowerTrace derives the windowed power trace of a detailed evaluation
@@ -298,22 +301,29 @@ func (s *SimPlatform) PowerTrace(res cpusim.Result) powersim.PowerTrace {
 // Deprecated: thin shim over EvaluateRequest; new code should build an
 // EvalRequest (Detail: DetailResult) instead.
 func (s *SimPlatform) EvaluateDetailed(p *program.Program, opts EvalOptions) (metrics.Vector, cpusim.Result, error) {
-	return s.evaluate(p, opts, false)
+	v, res, _, err := s.evaluate(p, opts, DetailResult)
+	return v, res, err
 }
 
-// evaluate is the one evaluation path. sharedWindows selects the
-// copy-free window scratch for callers that do not let the Result escape.
-func (s *SimPlatform) evaluate(p *program.Program, opts EvalOptions, sharedWindows bool) (metrics.Vector, cpusim.Result, error) {
+// evaluate is the one evaluation path; it returns the power trace when it
+// collected power. The run records only what detail needs: a Result handed
+// out (DetailResult) gets its own copy of the activity windows, a trace or
+// power metrics read them from the simulator's scratch, and a metrics-only
+// run without power records none.
+func (s *SimPlatform) evaluate(p *program.Program, opts EvalOptions, detail EvalDetail) (metrics.Vector, cpusim.Result, powersim.PowerTrace, error) {
 	opts = opts.normalized()
 	var res cpusim.Result
 	var err error
-	if sharedWindows {
-		res, err = s.cpu.RunShared(p, opts.DynamicInstructions, opts.Seed)
-	} else {
+	switch {
+	case detail >= DetailResult:
 		res, err = s.cpu.Run(p, opts.DynamicInstructions, opts.Seed)
+	case opts.CollectPower:
+		res, err = s.cpu.RunShared(p, opts.DynamicInstructions, opts.Seed)
+	default:
+		res, err = s.cpu.RunTotals(p, opts.DynamicInstructions, opts.Seed)
 	}
 	if err != nil {
-		return nil, cpusim.Result{}, err
+		return nil, cpusim.Result{}, powersim.PowerTrace{}, err
 	}
 	if opts.FrequencyGHz > 0 {
 		// The cycle-level result is clock-agnostic; relabelling its time
@@ -323,10 +333,11 @@ func (s *SimPlatform) evaluate(p *program.Program, opts EvalOptions, sharedWindo
 	}
 	s.evaluations++
 	v := ResultVector(res)
+	var trace powersim.PowerTrace
 	if opts.CollectPower {
-		s.addPowerMetrics(v, res)
+		trace = s.addPowerMetrics(v, res)
 	}
-	return v, res, nil
+	return v, res, trace, nil
 }
 
 // ResultVector converts a raw simulation result into the standard metric

@@ -13,8 +13,9 @@ import (
 
 // EvalDetail selects how much of an evaluation's output the caller needs.
 // Higher levels cost more: DetailMetrics lets the simulator reuse its window
-// scratch between runs, DetailTrace additionally materializes the power
-// trace, and DetailResult copies the full raw simulation results out.
+// scratch between runs (and skip the windows entirely when no power is
+// collected), DetailTrace additionally materializes the power trace, and
+// DetailResult copies the full raw simulation results out.
 type EvalDetail uint8
 
 const (
@@ -150,15 +151,13 @@ func (s *SimPlatform) EvaluateRequest(req EvalRequest) (EvalResponse, error) {
 	if req.Detail >= DetailTrace {
 		opts.CollectPower = true
 	}
-	// Only DetailResult hands the raw result out, so the lower detail levels
-	// share the simulator's window scratch instead of copying it.
-	v, res, err := s.evaluate(req.Programs[0], opts, req.Detail < DetailResult)
+	v, res, trace, err := s.evaluate(req.Programs[0], opts, req.Detail)
 	if err != nil {
 		return EvalResponse{}, err
 	}
 	resp := EvalResponse{Metrics: v}
 	if req.Detail >= DetailTrace {
-		resp.Trace = s.power.Trace(res)
+		resp.Trace = trace
 	}
 	if req.Detail >= DetailResult {
 		resp.Results = []cpusim.Result{res}

@@ -214,7 +214,8 @@ func (p *Program) Validate() error {
 	if len(p.Instructions) == 0 {
 		return fmt.Errorf("program %q: empty instruction list", p.Name)
 	}
-	for i, s := range p.Streams {
+	for i := range p.Streams {
+		s := &p.Streams[i]
 		if s.ID != i {
 			return fmt.Errorf("program %q: stream %d has ID %d", p.Name, i, s.ID)
 		}
@@ -230,12 +231,12 @@ func (p *Program) Validate() error {
 			return err
 		}
 	}
-	for i, in := range p.Instructions {
+	for i := range p.Instructions {
+		in := &p.Instructions[i]
 		if !in.Op.Valid() {
 			return fmt.Errorf("program %q: instruction %d has invalid opcode", p.Name, i)
 		}
-		d := isa.Describe(in.Op)
-		if d.HasDest && !in.Dest.Valid() {
+		if in.Op.HasDest() && !in.Dest.Valid() {
 			return fmt.Errorf("program %q: instruction %d (%v) has invalid dest", p.Name, i, in.Op)
 		}
 		if in.NumSrcs < 0 || in.NumSrcs > 2 {
@@ -246,20 +247,20 @@ func (p *Program) Validate() error {
 				return fmt.Errorf("program %q: instruction %d (%v) has invalid src %d", p.Name, i, in.Op, s)
 			}
 		}
-		if in.IsMemory() {
+		if in.Op.IsMemory() {
 			if in.Stream < 0 || in.Stream >= len(p.Streams) {
 				return fmt.Errorf("program %q: memory instruction %d references stream %d of %d", p.Name, i, in.Stream, len(p.Streams))
 			}
 		} else if in.Stream != NoStream {
 			return fmt.Errorf("program %q: non-memory instruction %d references stream %d", p.Name, i, in.Stream)
 		}
-		if in.IsCondBranch() && i != len(p.Instructions)-1 {
+		if in.Op.IsCondBranch() && i != len(p.Instructions)-1 {
 			if in.Pattern < 0 || in.Pattern >= len(p.Patterns) {
 				return fmt.Errorf("program %q: branch instruction %d references pattern %d of %d", p.Name, i, in.Pattern, len(p.Patterns))
 			}
 		}
 	}
-	last := p.Instructions[len(p.Instructions)-1]
+	last := &p.Instructions[len(p.Instructions)-1]
 	if !last.Op.IsBranch() {
 		return fmt.Errorf("program %q: last instruction (%v) is not the loop-closing branch", p.Name, last.Op)
 	}

@@ -8,7 +8,9 @@
 // (randomized branch directions) is drawn from a rand.Rand owned by the
 // expander. An Expander is reusable: Reuse re-arms one in place for a new
 // (program, seed) pair without reallocating its stream, pattern or RNG
-// state, which is what keeps repeated evaluations allocation-free.
+// state, which is what keeps repeated evaluations allocation-free. The RNG
+// is seeded once per seed: re-arming with the seed of the previous run
+// replays the recorded random stream instead of reseeding math/rand.
 package trace
 
 import (
@@ -144,11 +146,68 @@ type staticMeta struct {
 	pc    uint64
 }
 
+// maxReplay bounds the random values a replaySource records (512 KiB). A
+// run drawing more than this is long enough that reseeding costs it little.
+const maxReplay = 1 << 16
+
+// replaySource is a rand.Source64 producing exactly the stream of
+// rand.NewSource(seed). It records the values it draws and, when seeded
+// again with the same seed, replays them from the start instead of paying
+// for math/rand's reseeding; it seeds the underlying source again only when
+// the seed changes or a run drew more values than it records.
+type replaySource struct {
+	src   rand.Source64
+	seed  int64
+	buf   []uint64 // the first len(buf) values of seed's stream
+	pos   int      // stream position of the next value
+	drawn int      // values src has produced since it was seeded
+}
+
+// Seed implements rand.Source.
+func (r *replaySource) Seed(seed int64) {
+	r.pos = 0
+	if r.src != nil && seed == r.seed && r.drawn == len(r.buf) {
+		return // src sits right after the recording: replay it
+	}
+	if r.src == nil {
+		r.src = rand.NewSource(seed).(rand.Source64)
+	} else {
+		r.src.Seed(seed)
+	}
+	if seed != r.seed {
+		r.buf = r.buf[:0]
+	}
+	r.seed = seed
+	r.drawn = 0
+}
+
+// Uint64 implements rand.Source64.
+func (r *replaySource) Uint64() uint64 {
+	if r.pos < r.drawn {
+		// Only a replay leaves src ahead of the reader, and it starts with
+		// drawn == len(buf), so the value is recorded.
+		v := r.buf[r.pos]
+		r.pos++
+		return v
+	}
+	v := r.src.Uint64()
+	r.drawn++
+	if r.pos == len(r.buf) && len(r.buf) < maxReplay {
+		r.buf = append(r.buf, v)
+	}
+	r.pos++
+	return v
+}
+
+// Int63 implements rand.Source the way math/rand's own source does: the
+// Uint64 value with its top bit cleared.
+func (r *replaySource) Int63() int64 { return int64(r.Uint64() & (1<<63 - 1)) }
+
 // Expander produces the dynamic instruction stream of a program.
 type Expander struct {
 	prog     *program.Program
 	rng      *rand.Rand
-	src      rand.Source
+	src      *replaySource
 	streams  []streamState
 	patterns []patternState
 	meta     []staticMeta
@@ -166,12 +225,11 @@ func NewExpander(p *program.Program, seed int64) *Expander {
 // Reuse re-arms an expander in place for (p, seed), reusing its allocations.
 // The result is bit-identical to a freshly built NewExpander(p, seed).
 func Reuse(e *Expander, p *program.Program, seed int64) *Expander {
-	if e.rng == nil {
-		e.src = rand.NewSource(seed)
+	if e.src == nil {
+		e.src = &replaySource{}
 		e.rng = rand.New(e.src)
-	} else {
-		e.src.Seed(seed)
 	}
+	e.src.Seed(seed)
 	e.prog = p
 	e.pos = 0
 	e.count = 0
@@ -203,14 +261,14 @@ func Reuse(e *Expander, p *program.Program, seed int64) *Expander {
 		in := &p.Instructions[i]
 		m := staticMeta{kind: kindPlain, pc: p.PC(i)}
 		switch {
-		case in.IsMemory():
+		case in.Op.IsMemory():
 			m.kind = kindMem
 			m.index = int32(in.Stream)
 			m.bytes = int32(in.Op.MemBytes())
 		case in.Op.IsBranch():
 			if i == n-1 {
 				m.kind = kindLoopClose
-			} else if in.IsCondBranch() {
+			} else if in.Op.IsCondBranch() {
 				if in.Pattern >= 0 && in.Pattern < len(p.Patterns) {
 					m.kind = kindPattern
 					m.index = int32(in.Pattern)

@@ -249,3 +249,76 @@ func TestDynamicMixMatchesStaticMix(t *testing.T) {
 		}
 	}
 }
+
+// TestReplaySourceMatchesMathRand pins the expander's replaying source to
+// rand.NewSource: every run of a seed sequence — the same seed again, a
+// change of seed, a change back, runs shorter and longer than the previous
+// one and runs past the recording bound — draws exactly the values a freshly
+// seeded math/rand source draws.
+func TestReplaySourceMatchesMathRand(t *testing.T) {
+	runs := []struct {
+		seed  int64
+		draws int
+	}{
+		{5, 10},
+		{6, 10}, // seed change, as many draws as seed 5 recorded
+		{6, 10}, // replays seed 6, not seed 5's recording
+		{1, 100},
+		{1, 100},           // replay, same length
+		{1, 40},            // replay, shorter
+		{1, 300},           // replay, then extend the recording
+		{2, 50},            // seed change
+		{1, 300},           // change back: nothing of seed 1 is reused
+		{1, 300},           // replay
+		{0, 10},            // seed 0
+		{1, maxReplay + 7}, // past the recording bound
+		{1, maxReplay + 7}, // reseeded: the run before overflowed
+		{1, 5},
+		{1, maxReplay},
+		{1, maxReplay}, // exactly the bound: replayed
+	}
+	var src replaySource
+	for i, run := range runs {
+		src.Seed(run.seed)
+		want := rand.NewSource(run.seed).(rand.Source64)
+		for d := 0; d < run.draws; d++ {
+			// Alternate the two draw methods: both advance one step.
+			if d%3 == 0 {
+				if got, exp := src.Int63(), want.Int63(); got != exp {
+					t.Fatalf("run %d (seed %d): Int63 draw %d = %d, want %d", i, run.seed, d, got, exp)
+				}
+				continue
+			}
+			if got, exp := src.Uint64(), want.Uint64(); got != exp {
+				t.Fatalf("run %d (seed %d): Uint64 draw %d = %d, want %d", i, run.seed, d, got, exp)
+			}
+		}
+		if len(src.buf) > maxReplay {
+			t.Fatalf("run %d: recording grew to %d values, bound %d", i, len(src.buf), maxReplay)
+		}
+	}
+}
+
+// TestReuseReplaysFreshExpander pins Reuse with a repeated seed — the shape
+// of every tuning loop — to a freshly built expander.
+func TestReuseReplaysFreshExpander(t *testing.T) {
+	p := synth(t, 120, map[string]float64{
+		"ADD": 1, "MUL": 1, "FADDD": 1, "FMULD": 1, "BEQ": 6, "BNE": 6,
+		"LD": 2, "LW": 2, "SD": 1, "SW": 1, knobs.NameBranchPattern: 0.8,
+	})
+	q := synth(t, 80, nil)
+	e := NewExpander(p, 5)
+	for i, c := range []struct {
+		prog *program.Program
+		seed int64
+		n    int
+	}{{p, 5, 3000}, {p, 5, 6000}, {q, 5, 2000}, {p, 9, 4000}, {p, 5, 4000}} {
+		Reuse(e, c.prog, c.seed)
+		want := NewExpander(c.prog, c.seed)
+		for k := 0; k < c.n; k++ {
+			if got, exp := e.Next(), want.Next(); got != exp {
+				t.Fatalf("run %d: entry %d = %+v, fresh expander %+v", i, k, got, exp)
+			}
+		}
+	}
+}

@@ -13,7 +13,8 @@
 //     simulation platforms (NewPlatform, Synthesize), and
 //   - reproduce the paper's tables and figures (the Experiments... helpers).
 //
-// See README.md for a quickstart and DESIGN.md for the system inventory.
+// See README.md for a quickstart and ROADMAP.md for the project's direction
+// and open work.
 package micrograd
 
 import (
