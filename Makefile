@@ -65,6 +65,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzSumTraces$$' -fuzztime=10s -run='^$$' ./internal/powersim
 	$(GO) test -fuzz='^FuzzSumTracesOneClockOracle$$' -fuzztime=10s -run='^$$' ./internal/powersim
 	$(GO) test -fuzz='^FuzzGridLumpedOracle$$' -fuzztime=10s -run='^$$' ./internal/powersim
+	$(GO) test -fuzz='^FuzzSupplyKernelOracle$$' -fuzztime=10s -run='^$$' ./internal/powersim
 	$(GO) test -fuzz='^FuzzCacheResetOracle$$' -fuzztime=10s -run='^$$' ./internal/memsim
 
 cover:

@@ -33,6 +33,28 @@ import (
 	"micrograd/internal/serve"
 )
 
+// Connection timeouts of the HTTP server. A client must send its request
+// headers within readHeaderTimeout and the whole request (a job request is a
+// small JSON object) within readTimeout; an idle keep-alive connection is
+// closed after idleTimeout. There is deliberately no write timeout: an
+// NDJSON progress stream stays open for the whole job it tails.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the daemon's handler in an HTTP server with the
+// connection timeouts above.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "mgserve:", err)
@@ -80,7 +102,7 @@ func run(args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "mgserve listening on http://%s\n", ln.Addr())
 
-	httpSrv := &http.Server{Handler: s.Handler()}
+	httpSrv := newHTTPServer(s.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 

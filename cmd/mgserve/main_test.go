@@ -92,3 +92,14 @@ func TestRunServesAndShutsDownOnSignal(t *testing.T) {
 		t.Fatalf("shutdown not reported (output %q)", out.String())
 	}
 }
+
+func TestHTTPServerTimeouts(t *testing.T) {
+	srv := newHTTPServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout <= 0 || srv.ReadTimeout <= 0 || srv.IdleTimeout <= 0 {
+		t.Fatalf("timeouts header/read/idle = %v/%v/%v, want all set", srv.ReadHeaderTimeout, srv.ReadTimeout, srv.IdleTimeout)
+	}
+	// NDJSON streams stay open for a whole job: no write deadline.
+	if srv.WriteTimeout != 0 {
+		t.Fatalf("WriteTimeout = %v, want none", srv.WriteTimeout)
+	}
+}

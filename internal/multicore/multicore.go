@@ -36,9 +36,9 @@ import (
 
 // CoRunSpec describes a multi-core co-run platform: the per-core
 // specifications plus the chip-level supply and thermal models every core's
-// activity feeds into. The per-core Supply/Thermal models inside each
-// CoreSpec still produce that core's own transient metrics; the shared
-// models here see the summed trace.
+// activity feeds into. The Supply model inside each CoreSpec still produces
+// that core's own droop (core<i>_worst_droop_mv); the shared models here
+// see the summed trace.
 type CoRunSpec struct {
 	// Cores are the co-running core configurations. Every core must record
 	// activity windows (WindowCycles > 0); clock frequencies only need to be
@@ -373,6 +373,7 @@ func (c *CoRunPlatform) SynthesizeCoRun(name string, cfg knobs.Config, syn *micr
 
 // coreRun is one core's contribution to a chip evaluation.
 type coreRun struct {
+	// vector holds the core's base metrics (platform.SimPlatform.EvaluateCore).
 	vector metrics.Vector
 	trace  powersim.PowerTrace
 	// result is the raw simulation result, collected only for DetailResult.
@@ -412,21 +413,22 @@ func (c *CoRunPlatform) evaluateDetailed(progs []*program.Program, freqsGHz []fl
 				freq = freqsGHz[i]
 				coreOpts.FrequencyGHz = freq
 			}
-			resp, err := sim.EvaluateRequest(platform.EvalRequest{
-				Programs: progs[i : i+1], Options: coreOpts, Detail: coreDetail,
-			})
+			vec, res, trace, err := sim.EvaluateCore(progs[i], coreOpts, coreDetail)
 			if err != nil {
 				return coreRun{}, fmt.Errorf("multicore: core %d: %w", i, err)
 			}
-			run := coreRun{vector: resp.Metrics, trace: resp.Trace, freqGHz: freq}
+			run := coreRun{vector: vec, trace: trace, freqGHz: freq}
 			if detail >= platform.DetailResult {
-				run.result = resp.Results[0]
+				run.result = res
 			}
 			return run, nil
 		})
 	if err != nil {
 		return platform.EvalResponse{}, err
 	}
+	// The per-core droops are solved once the fan-out has joined, in one
+	// batch, so they cannot depend on the fan-out width.
+	droops := c.coreDroops(runs)
 
 	chip, err := c.sumTraces(runs)
 	if err != nil {
@@ -437,11 +439,11 @@ func (c *CoRunPlatform) evaluateDetailed(progs []*program.Program, freqsGHz []fl
 	for i, r := range runs {
 		v[coreMetric(i, metrics.IPC)] = r.vector[metrics.IPC]
 		v[coreMetric(i, metrics.DynamicPowerW)] = r.vector[metrics.DynamicPowerW]
-		v[coreMetric(i, metrics.WorstDroopMV)] = r.vector[metrics.WorstDroopMV]
+		v[coreMetric(i, metrics.WorstDroopMV)] = droops[i]
 		v[coreMetric(i, metrics.FreqGHz)] = r.freqGHz
 	}
 	v[metrics.ChipPowerW] = chip.AvgPowerW()
-	steady := chip.TrimWarmupCapped(platform.TraceWarmupWindows)
+	steady := platform.SteadyTrace(chip)
 	v[metrics.ChipMaxDIDTWPerNS] = steady.MaxStepWPerNS()
 	if c.spec.Spatial() {
 		if err := c.spatialMetrics(runs, v); err != nil {
@@ -468,6 +470,29 @@ func (c *CoRunPlatform) evaluateDetailed(progs []*program.Program, freqsGHz []fl
 	// simulations succeeded.
 	c.evaluations.Add(1)
 	return resp, nil
+}
+
+// coreDroops returns each core's worst supply droop over its steady trace,
+// bit-identical to a per-core SupplyModel.WorstDroopMV. Cores that share one
+// supply model (every chip built from one core spec) are solved in one
+// WorstDroopsMV batch; a chip mixing supply models takes the scalar call per
+// core.
+func (c *CoRunPlatform) coreDroops(runs []coreRun) []float64 {
+	steady := make([]powersim.PowerTrace, len(runs))
+	for i, r := range runs {
+		steady[i] = platform.SteadyTrace(r.trace)
+	}
+	supply := c.spec.Cores[0].Supply
+	for _, core := range c.spec.Cores[1:] {
+		if core.Supply != supply {
+			droops := make([]float64, len(runs))
+			for i, tr := range steady {
+				droops[i] = c.spec.Cores[i].Supply.WorstDroopMV(tr)
+			}
+			return droops
+		}
+	}
+	return supply.WorstDroopsMV(steady)
 }
 
 // spatialMetrics runs the spatial supply/thermal solvers over the per-node

@@ -1,6 +1,7 @@
 package multicore
 
 import (
+	"math"
 	"testing"
 
 	"micrograd/internal/knobs"
@@ -457,6 +458,45 @@ func TestAlignedChipBeatsSkewedOnChipDIDT(t *testing.T) {
 	}
 	if da <= ds {
 		t.Errorf("phase-aligned chip dI/dt %v W/ns should beat the skewed chip's %v W/ns", da, ds)
+	}
+}
+
+// TestMixedSupplyModelsDroopPerCore pins coreDroops' fallback: on a chip
+// whose cores carry different supply models, each core's droop is that
+// core's own SupplyModel.WorstDroopMV of its steady trace, bit for bit.
+func TestMixedSupplyModelsDroopPerCore(t *testing.T) {
+	spec := Homogeneous(platform.Small(), 2)
+	spec.Cores[1].Supply.CapacitanceF *= 2
+	spec.Cores[1].Supply.InductanceH /= 2
+	c, err := New(spec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := testKernel(t)
+	opts := platform.EvalOptions{DynamicInstructions: 6000, Seed: 1}
+	v, err := c.EvaluateCoRun([]*program.Program{p, p}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.CollectPower = true
+	for i, core := range spec.Cores {
+		sim, err := platform.NewSimPlatform(core)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := sim.EvaluateRequest(platform.EvalRequest{
+			Programs: []*program.Program{p}, Options: opts, Detail: platform.DetailTrace})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := core.Supply.WorstDroopMV(platform.SteadyTrace(resp.Trace))
+		if got := v[coreMetric(i, metrics.WorstDroopMV)]; math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("core %d droop %.17g mV, its own supply model gives %.17g mV", i, got, want)
+		}
+	}
+	if v["core0_worst_droop_mv"] == v["core1_worst_droop_mv"] {
+		t.Errorf("identical co-runners on different supply models should droop differently, both %v mV",
+			v["core0_worst_droop_mv"])
 	}
 }
 

@@ -270,22 +270,32 @@ func (s *SimPlatform) Evaluate(p *program.Program, opts EvalOptions) (metrics.Ve
 // very short runs).
 const TraceWarmupWindows = 16
 
-// addPowerMetrics extends the vector with the power model's outputs: average
-// dynamic power always, plus the transient-power metrics (worst-case supply
-// droop, maximum dI/dt step, steady-state hotspot temperature) whenever the
-// run recorded activity windows. It returns the untrimmed power trace it
-// derived them from.
+// addPowerMetrics extends the vector with the power model's base output,
+// the average dynamic power, and returns the untrimmed power trace of the
+// run (empty when the run recorded no activity windows).
 func (s *SimPlatform) addPowerMetrics(v metrics.Vector, res cpusim.Result) powersim.PowerTrace {
 	v[metrics.DynamicPowerW] = s.power.DynamicPower(res)
-	trace := s.power.Trace(res)
+	return s.power.Trace(res)
+}
+
+// addTransientMetrics extends the vector with the transient-power metrics
+// of a run's untrimmed power trace — worst-case supply droop, maximum dI/dt
+// step, steady-state hotspot temperature — when the trace has windows.
+func (s *SimPlatform) addTransientMetrics(v metrics.Vector, trace powersim.PowerTrace) {
 	if trace.Empty() {
-		return trace
+		return
 	}
-	steady := trace.TrimWarmupCapped(TraceWarmupWindows)
+	steady := SteadyTrace(trace)
 	v[metrics.WorstDroopMV] = s.spec.Supply.WorstDroopMV(steady)
 	v[metrics.MaxDIDTWPerCycle] = steady.MaxStepWPerCycle()
 	v[metrics.TempC] = s.spec.Thermal.SteadyTempC(steady)
-	return trace
+}
+
+// SteadyTrace drops a power trace's cache-warmup windows (TraceWarmupWindows,
+// capped at a quarter of the trace): the part of the trace every transient
+// analysis reads.
+func SteadyTrace(trace powersim.PowerTrace) powersim.PowerTrace {
+	return trace.TrimWarmupCapped(TraceWarmupWindows)
 }
 
 // PowerTrace derives the windowed power trace of a detailed evaluation
@@ -305,12 +315,36 @@ func (s *SimPlatform) EvaluateDetailed(p *program.Program, opts EvalOptions) (me
 	return v, res, err
 }
 
-// evaluate is the one evaluation path; it returns the power trace when it
-// collected power. The run records only what detail needs: a Result handed
-// out (DetailResult) gets its own copy of the activity windows, a trace or
-// power metrics read them from the simulator's scratch, and a metrics-only
-// run without power records none.
+// evaluate is the one single-core evaluation path: evaluateBase plus, when
+// it collects power, the transient metrics of the core's own trace.
 func (s *SimPlatform) evaluate(p *program.Program, opts EvalOptions, detail EvalDetail) (metrics.Vector, cpusim.Result, powersim.PowerTrace, error) {
+	v, res, trace, err := s.evaluateBase(p, opts, detail)
+	if err == nil && opts.CollectPower {
+		s.addTransientMetrics(v, trace)
+	}
+	return v, res, trace, err
+}
+
+// EvaluateCore serves one core of a chip evaluation. It always collects
+// power and returns the core's base metrics (the performance counters and
+// the average dynamic power) with its untrimmed power trace, but none of the
+// transient metrics: the chip derives the droops of all its cores in one
+// batch (powersim.SupplyModel.WorstDroopsMV over their SteadyTrace) and has
+// no use for a core's own dI/dt or temperature. detail selects the run as in
+// EvaluateRequest: only a DetailResult run returns a result that owns its
+// activity windows; below it they are the simulator's scratch, overwritten
+// by the next evaluation.
+func (s *SimPlatform) EvaluateCore(p *program.Program, opts EvalOptions, detail EvalDetail) (metrics.Vector, cpusim.Result, powersim.PowerTrace, error) {
+	opts.CollectPower = true
+	return s.evaluateBase(p, opts, detail)
+}
+
+// evaluateBase runs the program and derives the base metrics; it returns the
+// power trace when it collected power. The run records only what detail
+// needs: a Result handed out (DetailResult) gets its own copy of the
+// activity windows, a trace or power metrics read them from the simulator's
+// scratch, and a metrics-only run without power records none.
+func (s *SimPlatform) evaluateBase(p *program.Program, opts EvalOptions, detail EvalDetail) (metrics.Vector, cpusim.Result, powersim.PowerTrace, error) {
 	opts = opts.normalized()
 	var res cpusim.Result
 	var err error

@@ -2,10 +2,12 @@ package platform_test
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
 	"micrograd/internal/knobs"
+	"micrograd/internal/metrics"
 	"micrograd/internal/microprobe"
 	"micrograd/internal/multicore"
 	"micrograd/internal/platform"
@@ -376,5 +378,45 @@ func TestEvalRequestErrors(t *testing.T) {
 	}
 	if _, err := sessionless.Evaluate(platform.EvalRequest{}); err == nil {
 		t.Error("empty session request should be rejected")
+	}
+}
+
+// TestEvaluateCoreIsRequestWithoutTransients pins the chip entry point to the
+// single-core path: EvaluateCore returns EvaluateRequest's trace and every
+// metric of its vector except the three transient ones it leaves to the
+// chip, at every detail level and with a clock override.
+func TestEvaluateCoreIsRequestWithoutTransients(t *testing.T) {
+	p := reqKernel(t, "req-core", knobs.StressSpace().MidConfig())
+	transient := map[string]bool{metrics.WorstDroopMV: true, metrics.MaxDIDTWPerCycle: true, metrics.TempC: true}
+	for _, freq := range []float64{0, 1.5} {
+		for _, detail := range []platform.EvalDetail{platform.DetailMetrics, platform.DetailTrace, platform.DetailResult} {
+			opts := platform.EvalOptions{DynamicInstructions: reqInstr, Seed: reqSeed, CollectPower: true, FrequencyGHz: freq}
+			resp, err := reqSinglePlatform(t).EvaluateRequest(platform.EvalRequest{Programs: []*program.Program{p}, Options: opts, Detail: platform.DetailResult})
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, res, trace, err := reqSinglePlatform(t).EvaluateCore(p, opts, detail)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, want := range resp.Metrics {
+				got, ok := v[name]
+				switch {
+				case transient[name] && ok:
+					t.Errorf("freq %g, %s: EvaluateCore reports transient metric %s", freq, detail, name)
+				case !transient[name] && (!ok || math.Float64bits(got) != math.Float64bits(want)):
+					t.Errorf("freq %g, %s: %s = %v (present %v), request path %v", freq, detail, name, got, ok, want)
+				}
+			}
+			if len(v)+len(transient) != len(resp.Metrics) {
+				t.Errorf("freq %g, %s: EvaluateCore vector has %d metrics, request path %d plus %d transient", freq, detail, len(v), len(resp.Metrics)-len(transient), len(transient))
+			}
+			if !reflect.DeepEqual(trace, resp.Trace) {
+				t.Errorf("freq %g, %s: EvaluateCore trace differs from the request path's", freq, detail)
+			}
+			if detail == platform.DetailResult && !reflect.DeepEqual(res, resp.Results[0]) {
+				t.Errorf("freq %g: EvaluateCore result differs from the request path's", freq)
+			}
+		}
 	}
 }

@@ -423,6 +423,19 @@ func (t PowerTrace) WriteCSV(w io.Writer) error {
 // choices (Q > 1) give the network a resonant frequency; load current that
 // oscillates near it excites much larger voltage droop than a constant draw
 // of the same average power — the behaviour the voltage-noise virus hunts.
+//
+// WorstDroopMV integrates one trace. WorstDroopsMV integrates the traces of
+// a chip's cores together, four lanes in lockstep with their state in
+// registers, so the latencies of the four serial chains overlap; it returns
+// WorstDroopMV's bits for every trace. The lanes run over the windows they
+// share a step schedule on (a one-clock chip's full 64-cycle windows) and
+// each finishes its own remaining windows alone; lanes that share a schedule
+// over less than half their length (cores at different clocks) take
+// WorstDroopMV's scalar pass loop instead. The lanes keep replaying passes
+// until every lane has converged, which is exact: a converged lane's next
+// pass starts where its last one did and replays it value for value, so its
+// minimum voltage cannot move. WorstDroopMV's scalar loop stays the
+// reference the lanes are tested against (FuzzSupplyKernelOracle).
 type SupplyModel struct {
 	// VddV is the nominal supply voltage.
 	VddV float64
@@ -477,82 +490,11 @@ func (s SupplyModel) Validate() error {
 // trace's average current, so a perfectly constant load shows only its IR
 // drop while an oscillating load adds the resonant ripple on top.
 func (s SupplyModel) WorstDroopMV(t PowerTrace) float64 {
-	if t.Empty() || (!t.TimeDomain() && t.FrequencyGHz <= 0) {
+	l, ok := s.lane(t, make([]float64, 3*len(t.Points)), make([]int32, len(t.Points)))
+	if !ok {
 		return 0
 	}
-	// Load current per window (I = P/Vdd) and integration step per window.
-	// Cycle-domain traces keep the historical cycle arithmetic bit-for-bit;
-	// time-domain traces (mixed-frequency chip aggregates) carry their
-	// timing per point. The per-window step count and folded step constants
-	// (h/L, h/C — no divisions left in the integration loop) are computed
-	// once and replayed across all settling passes.
-	load := make([]float64, len(t.Points))
-	dt := make([]float64, len(t.Points))
-	avg := 0.0
-	var weight float64
-	if t.TimeDomain() {
-		for i, p := range t.Points {
-			load[i] = p.PowerW / s.VddV
-			dt[i] = t.PointDurationNS(i) * 1e-9
-			avg += load[i] * dt[i]
-			weight += dt[i]
-		}
-	} else {
-		cycleS := 1 / (t.FrequencyGHz * 1e9)
-		for i, p := range t.Points {
-			load[i] = p.PowerW / s.VddV
-			dt[i] = float64(p.Cycles) * cycleS
-			avg += load[i] * float64(p.Cycles)
-			weight += float64(p.Cycles)
-		}
-	}
-	if weight == 0 {
-		return 0
-	}
-	avg /= weight
-
-	steps := make([]int32, len(t.Points))
-	hOverL := make([]float64, len(t.Points))
-	hOverC := make([]float64, len(t.Points))
-	for n := range t.Points {
-		if dt[n] == 0 {
-			continue
-		}
-		k := int(dt[n]/s.MaxStepS) + 1
-		h := dt[n] / float64(k)
-		steps[n] = int32(k)
-		hOverL[n] = h / s.InductanceH
-		hOverC[n] = h / s.CapacitanceF
-	}
-
-	// Warm start at the average-current operating point.
-	i := avg
-	v := s.VddV - avg*s.ResistanceOhm
-	vMin := v
-
-	for pass := 0; pass < s.Passes; pass++ {
-		iStart, vStart := i, v
-		for n := range t.Points {
-			hL, hC, ld := hOverL[n], hOverC[n], load[n]
-			for k := int32(0); k < steps[n]; k++ {
-				// Semi-implicit Euler keeps the underdamped system stable.
-				i += hL * (s.VddV - v - s.ResistanceOhm*i)
-				v += hC * (i - ld)
-				if v < vMin {
-					vMin = v
-				}
-			}
-		}
-		// Once a pass ends in exactly the state it started from, every
-		// further pass replays the identical trajectory: stop early. The
-		// comparison is exact, so the result is bit-identical to running
-		// all remaining passes.
-		//lint:allow floateq deliberate exact-state convergence check; stopping is bit-identical
-		if i == iStart && v == vStart {
-			break
-		}
-	}
-	return (s.VddV - vMin) * 1000
+	return s.droop(&l)
 }
 
 // ThermalModel is a lumped thermal-RC model of the core hotspot: dissipated

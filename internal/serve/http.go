@@ -2,13 +2,19 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 )
 
+// queueFullRetryAfter is the Retry-After value, in seconds, of a submission
+// refused because the job queue is full.
+const queueFullRetryAfter = "5"
+
 // Handler returns the daemon's HTTP API:
 //
 //	POST /jobs              submit a JobRequest, returns the JobStatus
+//	                        (429 with Retry-After while the queue is full)
 //	GET  /jobs              list every job's status
 //	GET  /jobs/{id}         one job's status
 //	GET  /jobs/{id}/result  a finished job's JobResult (409 while running)
@@ -50,6 +56,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st, err := s.Submit(req)
+	if errors.Is(err, ErrQueueFull) {
+		w.Header().Set("Retry-After", queueFullRetryAfter)
+		writeError(w, http.StatusTooManyRequests, err)
+		return
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

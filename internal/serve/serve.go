@@ -47,6 +47,11 @@ func (s State) Terminal() bool {
 // beyond it are rejected rather than buffered without bound.
 const queueCapacity = 1024
 
+// ErrQueueFull is the error Submit wraps when queueCapacity jobs are
+// already waiting. It is the one submission error that a client may simply
+// retry later: the HTTP API answers it with 429 Too Many Requests.
+var ErrQueueFull = errors.New("serve: job queue is full")
+
 // JobRequest describes one job. Kind selects the experiment: any stress
 // kind name stress.KindByName accepts (perf-virus, power-virus,
 // corun-noise-virus, spatial, ...), "cloning" (the benchmark-suite cloning
@@ -275,7 +280,7 @@ func (s *Server) Submit(req JobRequest) (JobStatus, error) {
 		s.nextID--
 		s.mu.Unlock()
 		cancel()
-		return JobStatus{}, fmt.Errorf("serve: job queue is full (%d waiting)", queueCapacity)
+		return JobStatus{}, fmt.Errorf("%w (%d waiting)", ErrQueueFull, queueCapacity)
 	}
 	s.jobs[jb.id] = jb
 	s.order = append(s.order, jb.id)

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -475,4 +476,54 @@ func TestHTTPLifecycleAndNDJSONStream(t *testing.T) {
 	if code := get("/jobs", &listed); code != http.StatusOK || len(listed) != 1 {
 		t.Fatalf("list returned %d jobs (status %d)", len(listed), code)
 	}
+}
+
+func TestFullQueueAnswersTooManyRequests(t *testing.T) {
+	s := New(Config{Workers: 1, Parallel: 1})
+	defer s.Close()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	// Block the only worker on a long job, then fill the queue behind it.
+	slow, err := s.Submit(JobRequest{Kind: "power-virus", Core: "large", Instructions: 40000, Epochs: 200, Seed: 3, Parallel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitRunning(t, s, slow.ID)
+	for i := 0; i < queueCapacity; i++ {
+		if _, err := s.Submit(tinyStressRequest(int64(i))); err != nil {
+			t.Fatalf("submission %d of %d into a draining queue: %v", i+1, queueCapacity, err)
+		}
+	}
+	if _, err := s.Submit(tinyStressRequest(0)); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("Submit to a full queue = %v, want ErrQueueFull", err)
+	}
+
+	body, _ := json.Marshal(tinyStressRequest(0))
+	resp, err := http.Post(srv.URL+"/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var envelope map[string]string
+	decErr := json.NewDecoder(resp.Body).Decode(&envelope)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("submit to a full queue: status %d, want 429", resp.StatusCode)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra == "" {
+		t.Fatal("429 without a Retry-After header")
+	}
+	if decErr != nil || !strings.Contains(envelope["error"], "queue is full") {
+		t.Fatalf("429 body = %v (decode error %v), want the queue-full error", envelope, decErr)
+	}
+	// A malformed request is still the client's fault, full queue or not.
+	resp, err = http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(`{"kind":"no-such-virus"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unknown-kind submit to a full queue: status %d, want 400", resp.StatusCode)
+	}
+	s.Cancel(slow.ID)
 }
